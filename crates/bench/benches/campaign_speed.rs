@@ -157,9 +157,8 @@ fn bench_replay_engines(c: &mut Criterion) {
         doc_new_ms,
         doc_old_ms / doc_new_ms
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replay.json");
-    std::fs::write(path, &json).expect("write BENCH_replay.json");
-    println!("replay comparison written to {path}:\n{json}");
+    let path = wanpred_bench::write_artifact("BENCH_replay.json", &json);
+    println!("replay comparison written to {}:\n{json}", path.display());
 }
 
 criterion_group!(benches, bench_campaign, bench_replay_engines);

@@ -140,9 +140,8 @@ fn bench_parse(c: &mut Criterion) {
         oracle_ms / columns_ms,
         oracle_ms / ingest_ms,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parse.json");
-    std::fs::write(path, &json).expect("write BENCH_parse.json");
-    println!("parse comparison written to {path}:\n{json}");
+    let path = wanpred_bench::write_artifact("BENCH_parse.json", &json);
+    println!("parse comparison written to {}:\n{json}", path.display());
 }
 
 criterion_group!(benches, bench_parse);

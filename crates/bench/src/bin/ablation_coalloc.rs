@@ -175,7 +175,6 @@ fn main() {
     let json = format!(
         "{{\n  \"days\": {days},\n  \"seed\": {seed},\n  \"chaos_rate\": {chaos},\n  \"results\": [\n{rows}\n  ]\n}}\n",
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_coalloc.json");
-    std::fs::write(path, &json).expect("write BENCH_coalloc.json");
-    println!("comparison written to {path}");
+    let path = wanpred_bench::write_artifact("BENCH_coalloc.json", &json);
+    println!("comparison written to {}", path.display());
 }

@@ -155,7 +155,6 @@ fn main() {
         "{{\n  \"days\": {days},\n  \"seed\": {seed},\n  \"fault_events\": {},\n  \"retries\": {},\n  \"failed_transfers\": {},\n  \"chaos\": {chaos_json},\n  \"results\": [\n{pairs_json}\n  ]\n}}\n",
         faulty.fault_events, faulty.retries, faulty.failed_transfers
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    std::fs::write(path, &json).expect("write BENCH_faults.json");
-    println!("comparison written to {path}");
+    let path = wanpred_bench::write_artifact("BENCH_faults.json", &json);
+    println!("comparison written to {}", path.display());
 }

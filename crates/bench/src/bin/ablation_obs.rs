@@ -120,7 +120,6 @@ fn main() {
          \"overhead_pct\": {overhead_pct:.3},\n  \"metric_series\": {metric_count},\n  \
          \"snapshot_deterministic\": true\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(path, &json).expect("write BENCH_obs.json");
-    println!("comparison written to {path}");
+    let path = wanpred_bench::write_artifact("BENCH_obs.json", &json);
+    println!("comparison written to {}", path.display());
 }

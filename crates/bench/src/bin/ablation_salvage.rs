@@ -136,7 +136,6 @@ fn main() {
     let json = format!(
         "{{\n  \"days\": {days},\n  \"seed\": {seed},\n  \"rates\": {RATES:?},\n  \"results\": [\n{rows_json}\n  ]\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_salvage.json");
-    std::fs::write(path, &json).expect("write BENCH_salvage.json");
-    println!("comparison written to {path}");
+    let path = wanpred_bench::write_artifact("BENCH_salvage.json", &json);
+    println!("comparison written to {}", path.display());
 }

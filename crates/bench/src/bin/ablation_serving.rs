@@ -385,7 +385,6 @@ fn main() {
         uncoalesced.answered,
         uncoalesced.shed,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, &json).expect("write BENCH_serving.json");
-    println!("\ncomparison written to {path}");
+    let path = wanpred_bench::write_artifact("BENCH_serving.json", &json);
+    println!("\ncomparison written to {}", path.display());
 }

@@ -138,7 +138,6 @@ fn main() {
         extended_suite().len(),
         rows.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tournament.json");
-    std::fs::write(path, &json).expect("write BENCH_tournament.json");
-    println!("comparison written to {path}");
+    let path = wanpred_bench::write_artifact("BENCH_tournament.json", &json);
+    println!("comparison written to {}", path.display());
 }

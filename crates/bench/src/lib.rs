@@ -32,6 +32,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::path::PathBuf;
+
 use wanpred_testbed::{run_campaign, CampaignConfig, CampaignResult};
 
 /// The default seed used by all figure binaries so their outputs agree
@@ -61,6 +63,29 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Write a `BENCH_*.json` artifact at the repository root and return
+/// its path. The root is resolved at run time: cargo sets
+/// `CARGO_MANIFEST_DIR` to this crate's directory, two levels below the
+/// root, for `cargo run` and `cargo bench`; a binary started any other
+/// way writes into the current directory.
+pub fn write_artifact(file: &str, json: &str) -> PathBuf {
+    let manifest_dir = std::env::var_os("CARGO_MANIFEST_DIR").map(PathBuf::from);
+    let path = artifact_path(manifest_dir, file);
+    if let Err(e) = std::fs::write(&path, json) {
+        panic!("write {}: {e}", path.display());
+    }
+    path
+}
+
+/// Where [`write_artifact`] puts `file`, given the manifest directory
+/// (`None` when cargo did not set one).
+fn artifact_path(manifest_dir: Option<PathBuf>, file: &str) -> PathBuf {
+    match manifest_dir {
+        Some(dir) => dir.join("../..").join(file),
+        None => PathBuf::from(file),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,5 +100,17 @@ mod tests {
         assert_eq!(arg_value(&args, "--site"), None);
         assert!(has_flag(&args, "--csv"));
         assert!(!has_flag(&args, "--json"));
+    }
+
+    #[test]
+    fn artifacts_land_at_the_run_time_root() {
+        assert_eq!(
+            artifact_path(Some(PathBuf::from("/copy/crates/bench")), "BENCH_x.json"),
+            PathBuf::from("/copy/crates/bench/../../BENCH_x.json")
+        );
+        assert_eq!(
+            artifact_path(None, "BENCH_x.json"),
+            PathBuf::from("BENCH_x.json")
+        );
     }
 }

@@ -8,12 +8,14 @@
 //! answered by merging search results from all currently live
 //! registrants.
 //!
-//! Registration and inquiry both take `&self`: the registrant table
-//! lives behind an internal mutex, so a `Giis` shared through an `Arc`
-//! accepts registrations and answers [`InquiryService::inquire`] calls
-//! concurrently. Child directories are queried *outside* the table lock,
-//! so one slow registrant does not block registrations or other
-//! inquiries at the index.
+//! Every registrant is an `Arc<dyn InquiryService>` handle: a GRIS, a
+//! child GIIS (MDS-2 indexes form hierarchies, Figure 5) or the sharded
+//! serving layer. Registration and inquiry both take `&self`: the
+//! registrant table lives behind an internal mutex, so a `Giis` shared
+//! through an `Arc` accepts registrations and answers
+//! [`InquiryService::inquire`] calls concurrently. Children are queried
+//! *outside* the table lock, so one slow registrant does not block
+//! registrations or other inquiries at the index.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,38 +24,7 @@ use parking_lot::Mutex;
 use wanpred_obs::{names, ObsSink};
 
 use crate::error::InquiryError;
-use crate::filter::Filter;
-use crate::gris::{Gris, STALENESS_ATTR};
-use crate::ldif::Entry;
 use crate::service::{InquiryRequest, InquiryResponse, InquiryService, Provenance, ServedBy};
-
-/// Anything that can answer a filtered inquiry at a point in time: a
-/// GRIS, or another GIIS — MDS-2 indexes form hierarchies (Figure 5), so
-/// a site GIIS can register into an organizational one.
-///
-/// New code should register an [`InquiryService`] handle instead (via
-/// [`Giis::register_service`]); this trait remains for callers that still
-/// hold `Arc<Mutex<dyn Directory>>` handles.
-pub trait Directory: Send {
-    /// Entries matching the filter at `now_unix`.
-    fn search_dir(&mut self, filter: &Filter, now_unix: u64) -> Vec<Entry>;
-}
-
-impl Directory for Gris {
-    fn search_dir(&mut self, filter: &Filter, now_unix: u64) -> Vec<Entry> {
-        self.inquire(&InquiryRequest::new(filter.clone(), now_unix))
-            .map(|r| r.entries)
-            .unwrap_or_default()
-    }
-}
-
-impl Directory for Giis {
-    fn search_dir(&mut self, filter: &Filter, now_unix: u64) -> Vec<Entry> {
-        self.inquire(&InquiryRequest::new(filter.clone(), now_unix))
-            .map(|r| r.entries)
-            .unwrap_or_default()
-    }
-}
 
 /// Per-registrant retry backoff for the soft-state registration
 /// protocol: when a GIIS is unreachable (or rejects a registration), the
@@ -161,43 +132,38 @@ pub enum RegisterOutcome {
     Renewed,
 }
 
-/// A registrant's inquiry handle: the modern lock-free service surface,
-/// or a legacy mutex-wrapped [`Directory`].
-#[derive(Clone)]
-enum Handle {
-    Service(Arc<dyn InquiryService>),
-    Legacy(Arc<Mutex<dyn Directory>>),
+/// A soft-state lease: live while renewed within `ttl_secs` of its last
+/// sighting. GIIS registrants and the serving layer's sites both hold
+/// one, so both expire on the same rule.
+#[derive(Debug)]
+pub(crate) struct Lease {
+    ttl_secs: u64,
+    last_seen: u64,
 }
 
-impl Handle {
-    /// Query the child; returns `(entries, max staleness stamp)`.
-    /// Legacy directories report no structured staleness, so it is
-    /// recovered from the entries' [`STALENESS_ATTR`] stamps.
-    fn query(&self, req: &InquiryRequest) -> (Vec<Entry>, u64) {
-        match self {
-            Handle::Service(svc) => match svc.inquire(req) {
-                Ok(resp) => (resp.entries, resp.staleness_secs),
-                // A failing child contributes nothing; the merge is
-                // best-effort, like MDS answering from reachable sites.
-                Err(_) => (Vec::new(), 0),
-            },
-            Handle::Legacy(dir) => {
-                let entries = dir.lock().search_dir(&req.filter, req.now_unix);
-                let staleness = entries
-                    .iter()
-                    .filter_map(|e| e.get(STALENESS_ATTR).and_then(|v| v.parse().ok()))
-                    .max()
-                    .unwrap_or(0);
-                (entries, staleness)
-            }
+impl Lease {
+    /// A lease of `ttl_secs` granted at `now_unix`.
+    pub(crate) fn new(ttl_secs: u64, now_unix: u64) -> Self {
+        Lease {
+            ttl_secs,
+            last_seen: now_unix,
         }
+    }
+
+    /// Record a sighting at `now_unix`.
+    pub(crate) fn renew(&mut self, now_unix: u64) {
+        self.last_seen = now_unix;
+    }
+
+    /// Whether the lease is current at `now_unix`.
+    pub(crate) fn is_live(&self, now_unix: u64) -> bool {
+        now_unix.saturating_sub(self.last_seen) < self.ttl_secs
     }
 }
 
 struct Registrant {
-    handle: Handle,
-    ttl_secs: u64,
-    last_seen: u64,
+    svc: Arc<dyn InquiryService>,
+    lease: Lease,
 }
 
 #[derive(Default)]
@@ -269,29 +235,10 @@ impl Giis {
     /// per-registrant schedule advances and `Err(delay_secs)` tells the
     /// registrant how long to wait before retrying (exponential, capped,
     /// deterministically jittered — see [`RegistrationBackoff`]).
-    pub fn try_register(
-        &self,
-        msg: Registration,
-        dir: Arc<Mutex<dyn Directory>>,
-        now_unix: u64,
-    ) -> Result<RegisterOutcome, u64> {
-        self.try_admit(msg, Handle::Legacy(dir), now_unix)
-    }
-
-    /// [`Giis::try_register`] for the modern service surface.
     pub fn try_register_service(
         &self,
         msg: Registration,
         svc: Arc<dyn InquiryService>,
-        now_unix: u64,
-    ) -> Result<RegisterOutcome, u64> {
-        self.try_admit(msg, Handle::Service(svc), now_unix)
-    }
-
-    fn try_admit(
-        &self,
-        msg: Registration,
-        handle: Handle,
         now_unix: u64,
     ) -> Result<RegisterOutcome, u64> {
         let id = msg.id.clone();
@@ -304,34 +251,14 @@ impl Giis {
         if let Some(b) = st.backoffs.get_mut(&id) {
             b.on_success();
         }
-        Ok(self.admit(&mut st, msg, handle, now_unix))
+        Ok(self.admit(&mut st, msg, svc, now_unix))
     }
 
-    /// Process a registration (initial or renewal) from a GRIS.
-    pub fn register(
-        &self,
-        msg: Registration,
-        gris: Arc<Mutex<Gris>>,
-        now_unix: u64,
-    ) -> RegisterOutcome {
-        self.register_directory(msg, gris, now_unix)
-    }
-
-    /// Register any directory — a GRIS or a child GIIS (hierarchical
-    /// indexes, Figure 5) — through the legacy mutex-wrapped surface.
-    pub fn register_directory(
-        &self,
-        msg: Registration,
-        dir: Arc<Mutex<dyn Directory>>,
-        now_unix: u64,
-    ) -> RegisterOutcome {
-        let mut st = self.state.lock();
-        self.admit(&mut st, msg, Handle::Legacy(dir), now_unix)
-    }
-
-    /// Register an [`InquiryService`] — the modern surface: the handle is
-    /// queried directly, with no wrapping mutex, so concurrent inquiries
-    /// at the index fan out to children without serializing on them.
+    /// Process a registration (initial or renewal) from a GRIS, a child
+    /// GIIS (hierarchical indexes, Figure 5) or any other
+    /// [`InquiryService`]. The handle is queried directly, with no
+    /// wrapping mutex, so concurrent inquiries at the index fan out to
+    /// children without serializing on them.
     pub fn register_service(
         &self,
         msg: Registration,
@@ -339,14 +266,14 @@ impl Giis {
         now_unix: u64,
     ) -> RegisterOutcome {
         let mut st = self.state.lock();
-        self.admit(&mut st, msg, Handle::Service(svc), now_unix)
+        self.admit(&mut st, msg, svc, now_unix)
     }
 
     fn admit(
         &self,
         st: &mut GiisState,
         msg: Registration,
-        handle: Handle,
+        svc: Arc<dyn InquiryService>,
         now_unix: u64,
     ) -> RegisterOutcome {
         let outcome = if st.registrants.contains_key(&msg.id) {
@@ -359,9 +286,8 @@ impl Giis {
         st.registrants.insert(
             msg.id,
             Registrant {
-                handle,
-                ttl_secs: msg.ttl_secs,
-                last_seen: now_unix,
+                svc,
+                lease: Lease::new(msg.ttl_secs, now_unix),
             },
         );
         outcome
@@ -373,7 +299,7 @@ impl Giis {
     pub fn renew(&self, id: &str, now_unix: u64) -> bool {
         match self.state.lock().registrants.get_mut(id) {
             Some(r) => {
-                r.last_seen = now_unix;
+                r.lease.renew(now_unix);
                 true
             }
             None => false,
@@ -384,8 +310,7 @@ impl Giis {
     pub fn expire(&self, now_unix: u64) -> usize {
         let mut st = self.state.lock();
         let before = st.registrants.len();
-        st.registrants
-            .retain(|_, r| now_unix.saturating_sub(r.last_seen) < r.ttl_secs);
+        st.registrants.retain(|_, r| r.lease.is_live(now_unix));
         let expired = before - st.registrants.len();
         if expired > 0 {
             self.obs
@@ -399,15 +324,6 @@ impl Giis {
         self.expire(now_unix);
         self.state.lock().registrants.keys().cloned().collect()
     }
-
-    /// Answer an inquiry: merge matching entries from every live
-    /// registrant (expiring stale ones first).
-    #[deprecated(note = "use `InquiryService::inquire`; search() is the pre-service surface")]
-    pub fn search(&self, filter: &Filter, now_unix: u64) -> Vec<Entry> {
-        self.inquire(&InquiryRequest::new(filter.clone(), now_unix))
-            .map(|r| r.entries)
-            .unwrap_or_default()
-    }
 }
 
 impl InquiryService for Giis {
@@ -417,19 +333,20 @@ impl InquiryService for Giis {
         // Clone the handles out of the table lock: children are queried
         // without holding it, so a slow registrant cannot block the
         // index's registration path or other inquiries.
-        let handles: Vec<Handle> = self
+        let children: Vec<Arc<dyn InquiryService>> = self
             .state
             .lock()
             .registrants
             .values()
-            .map(|r| r.handle.clone())
+            .map(|r| Arc::clone(&r.svc))
             .collect();
         let mut entries = Vec::new();
         let mut max_staleness = 0u64;
-        for h in &handles {
-            let (child_entries, staleness) = h.query(req);
-            max_staleness = max_staleness.max(staleness);
-            entries.extend(child_entries);
+        // A failing child contributes nothing; the merge is best-effort,
+        // like MDS answering from reachable sites.
+        for resp in children.iter().filter_map(|c| c.inquire(req).ok()) {
+            max_staleness = max_staleness.max(resp.staleness_secs);
+            entries.extend(resp.entries);
         }
         Ok(InquiryResponse::new(
             entries,
@@ -442,9 +359,9 @@ impl InquiryService for Giis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter;
-    use crate::gris::{InfoProvider, ProviderError};
-    use crate::ldif::Dn;
+    use crate::filter::{self, Filter};
+    use crate::gris::{Gris, InfoProvider, ProviderError};
+    use crate::ldif::{Dn, Entry};
 
     fn search(giis: &Giis, f: &Filter, now: u64) -> Vec<Entry> {
         giis.inquire(&InquiryRequest::new(f.clone(), now))
@@ -467,13 +384,7 @@ mod tests {
         }
     }
 
-    fn gris_with(tag: &'static str) -> Arc<Mutex<Gris>> {
-        let mut g = Gris::new(Dn::parse("o=grid").unwrap());
-        g.register_provider(Box::new(Fixed { tag }));
-        Arc::new(Mutex::new(g))
-    }
-
-    fn gris_service(tag: &'static str) -> Arc<dyn InquiryService> {
+    fn gris_with(tag: &'static str) -> Arc<dyn InquiryService> {
         let mut g = Gris::new(Dn::parse("o=grid").unwrap());
         g.register_provider(Box::new(Fixed { tag }));
         Arc::new(g)
@@ -482,7 +393,7 @@ mod tests {
     #[test]
     fn register_and_search_aggregates() {
         let giis = Giis::new("top");
-        giis.register(
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 300,
@@ -495,7 +406,7 @@ mod tests {
                 id: "isi".into(),
                 ttl_secs: 300,
             },
-            gris_service("isi"),
+            gris_with("isi"),
             0,
         );
         let all = search(&giis, &filter::parse("(site=*)").unwrap(), 10);
@@ -505,25 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_search_shim_matches_inquire() {
-        #![allow(deprecated)]
-        let giis = Giis::new("top");
-        giis.register(
-            Registration {
-                id: "lbl".into(),
-                ttl_secs: 300,
-            },
-            gris_with("lbl"),
-            0,
-        );
-        let f = filter::parse("(site=lbl)").unwrap();
-        assert_eq!(giis.search(&f, 10), search(&giis, &f, 10));
-    }
-
-    #[test]
     fn soft_state_expiry() {
         let giis = Giis::new("top");
-        giis.register(
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
@@ -542,7 +437,7 @@ mod tests {
     #[test]
     fn renewal_extends_lifetime() {
         let giis = Giis::new("top");
-        giis.register(
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
@@ -555,7 +450,7 @@ mod tests {
         // After expiry, renew fails and full re-registration is needed.
         assert_eq!(giis.live_registrants(200).len(), 0);
         assert!(!giis.renew("lbl", 201));
-        let outcome = giis.register(
+        let outcome = giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
@@ -570,7 +465,7 @@ mod tests {
     fn reregistration_is_renewal_when_live() {
         let giis = Giis::new("top");
         let g = gris_with("lbl");
-        giis.register(
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
@@ -578,7 +473,7 @@ mod tests {
             g.clone(),
             0,
         );
-        let outcome = giis.register(
+        let outcome = giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 60,
@@ -592,10 +487,9 @@ mod tests {
     #[test]
     fn hierarchical_giis_aggregates_child_indexes() {
         // site GIISes each index one GRIS; the organizational GIIS
-        // indexes both site GIISes (Figure 5's tree). The child indexes
-        // register as services — no wrapping mutex.
+        // indexes both site GIISes (Figure 5's tree).
         let lbl_giis = Giis::new("lbl-site");
-        lbl_giis.register(
+        lbl_giis.register_service(
             Registration {
                 id: "lbl-gris".into(),
                 ttl_secs: 600,
@@ -604,7 +498,7 @@ mod tests {
             0,
         );
         let isi_giis = Giis::new("isi-site");
-        isi_giis.register(
+        isi_giis.register_service(
             Registration {
                 id: "isi-gris".into(),
                 ttl_secs: 600,
@@ -646,10 +540,14 @@ mod tests {
             id: "lbl".into(),
             ttl_secs: 300,
         };
-        let d1 = giis.try_register(reg(), gris_with("lbl"), 0).unwrap_err();
-        let d2 = giis.try_register(reg(), gris_with("lbl"), 10).unwrap_err();
+        let d1 = giis
+            .try_register_service(reg(), gris_with("lbl"), 0)
+            .unwrap_err();
+        let d2 = giis
+            .try_register_service(reg(), gris_with("lbl"), 10)
+            .unwrap_err();
         let d3 = giis
-            .try_register_service(reg(), gris_service("lbl"), 20)
+            .try_register_service(reg(), gris_with("lbl"), 20)
             .unwrap_err();
         // Exponential growth around base 30 with ±25% jitter.
         assert!((23..=38).contains(&d1), "first delay {d1}");
@@ -660,12 +558,14 @@ mod tests {
         let replay = Giis::new("top");
         replay.set_available(false);
         assert_eq!(
-            replay.try_register(reg(), gris_with("lbl"), 0).unwrap_err(),
+            replay
+                .try_register_service(reg(), gris_with("lbl"), 0)
+                .unwrap_err(),
             d1
         );
         // Distinct registrants get decorrelated jitter.
         let other = giis
-            .try_register(
+            .try_register_service(
                 Registration {
                     id: "isi".into(),
                     ttl_secs: 300,
@@ -698,9 +598,12 @@ mod tests {
             id: "lbl".into(),
             ttl_secs: 300,
         };
-        giis.try_register(reg(), gris_with("lbl"), 0).unwrap_err();
+        giis.try_register_service(reg(), gris_with("lbl"), 0)
+            .unwrap_err();
         giis.set_available(true);
-        let outcome = giis.try_register(reg(), gris_with("lbl"), 60).unwrap();
+        let outcome = giis
+            .try_register_service(reg(), gris_with("lbl"), 60)
+            .unwrap();
         assert_eq!(outcome, RegisterOutcome::New);
         assert_eq!(giis.backoff_delay("lbl"), 0);
         assert_eq!(giis.live_registrants(100), vec!["lbl".to_string()]);
@@ -710,7 +613,7 @@ mod tests {
     fn expire_reports_count() {
         let giis = Giis::new("top");
         for (i, tag) in ["a", "b", "c"].iter().enumerate() {
-            giis.register(
+            giis.register_service(
                 Registration {
                     id: (*tag).into(),
                     ttl_secs: 10 * (i as u64 + 1),
@@ -749,7 +652,7 @@ mod tests {
                 id: "live".into(),
                 ttl_secs: 300,
             },
-            gris_service("lbl"),
+            gris_with("lbl"),
             0,
         );
         // The index still answers from the reachable child.

@@ -30,7 +30,6 @@ use parking_lot::Mutex;
 use wanpred_obs::{names, ObsSink};
 
 use crate::error::InquiryError;
-use crate::filter::Filter;
 use crate::ldif::{Dn, Entry};
 use crate::service::{InquiryRequest, InquiryResponse, InquiryService, Provenance, ServedBy};
 
@@ -140,6 +139,40 @@ impl MaterializedEntry {
                 (e, age)
             }
         }
+    }
+}
+
+/// The filter walk every inquiry path shares: stamp each walked entry
+/// at the inquiry second, keep the ones the filter matches, and track
+/// the largest kept age.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FilterWalk {
+    /// Matching entries, stamped.
+    pub(crate) entries: Vec<Entry>,
+    /// The largest `stalenesssecs` among `entries` (0 when all fresh).
+    pub(crate) staleness: u64,
+    /// Whether *any* walked entry was stamped, matching or not: a stamp
+    /// that misses a `stalenesssecs` filter now can match it a second
+    /// later, so such an answer is only valid at its own inquiry second.
+    pub(crate) has_stamps: bool,
+}
+
+impl FilterWalk {
+    /// Walk `entries` for `req`.
+    pub(crate) fn new<'a>(
+        entries: impl IntoIterator<Item = &'a MaterializedEntry>,
+        req: &InquiryRequest,
+    ) -> Self {
+        let mut walk = FilterWalk::default();
+        for me in entries {
+            let (e, age) = me.stamped(req.now_unix);
+            walk.has_stamps |= me.last_good_unix.is_some();
+            if req.filter.matches(&e) {
+                walk.staleness = walk.staleness.max(age);
+                walk.entries.push(e);
+            }
+        }
+        walk
     }
 }
 
@@ -311,26 +344,6 @@ impl Gris {
         }
         out
     }
-
-    /// All current entries, refreshing stale caches. A provider whose
-    /// refresh fails keeps serving its last-known-good entries, each
-    /// stamped with [`STALENESS_ATTR`].
-    #[deprecated(note = "use `InquiryService::inquire`; entries() is the pre-service surface")]
-    pub fn entries(&self, now_unix: u64) -> Vec<Entry> {
-        self.materialize(now_unix)
-            .entries
-            .iter()
-            .map(|me| me.stamped(now_unix).0)
-            .collect()
-    }
-
-    /// Search: refresh stale providers, apply the filter.
-    #[deprecated(note = "use `InquiryService::inquire`; search() is the pre-service surface")]
-    pub fn search(&self, filter: &Filter, now_unix: u64) -> Vec<Entry> {
-        self.inquire(&InquiryRequest::new(filter.clone(), now_unix))
-            .map(|r| r.entries)
-            .unwrap_or_default()
-    }
 }
 
 impl SnapshotSource for Gris {
@@ -342,18 +355,10 @@ impl SnapshotSource for Gris {
 impl InquiryService for Gris {
     fn inquire(&self, req: &InquiryRequest) -> Result<InquiryResponse, InquiryError> {
         self.obs.inc(names::INFOD_GRIS_SEARCHES);
-        let mut entries = Vec::new();
-        let mut max_staleness = 0u64;
-        for me in &self.materialize(req.now_unix).entries {
-            let (e, age) = me.stamped(req.now_unix);
-            if req.filter.matches(&e) {
-                max_staleness = max_staleness.max(age);
-                entries.push(e);
-            }
-        }
+        let walk = FilterWalk::new(&self.materialize(req.now_unix).entries, req);
         Ok(InquiryResponse::new(
-            entries,
-            max_staleness,
+            walk.entries,
+            walk.staleness,
             Provenance::direct(ServedBy::Gris),
         ))
     }
@@ -362,7 +367,7 @@ impl InquiryService for Gris {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter;
+    use crate::filter::{self, Filter};
 
     fn search(g: &Gris, f: &Filter, now: u64) -> Vec<Entry> {
         g.inquire(&InquiryRequest::new(f.clone(), now))
@@ -454,20 +459,6 @@ mod tests {
         assert_eq!(search(&g, &f, 0).len(), 1);
         let f = filter::parse("(calls=99)").unwrap();
         assert_eq!(search(&g, &f, 1).len(), 0);
-    }
-
-    #[test]
-    fn deprecated_shims_still_answer() {
-        // The old `&mut self`-era surface is a thin veneer over the
-        // service path; its results must agree with inquire().
-        #![allow(deprecated)]
-        let mut g = Gris::new(Dn::parse("o=grid").unwrap());
-        g.register_provider(Box::new(Counter { calls: 0, ttl: 30 }));
-        let via_shim = g.entries(100);
-        assert_eq!(via_shim.len(), 1);
-        assert_eq!(via_shim[0].get("calls"), Some("1"));
-        let f = filter::parse("(calls=1)").unwrap();
-        assert_eq!(g.search(&f, 110), search(&g, &f, 110));
     }
 
     #[test]

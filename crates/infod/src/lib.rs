@@ -12,7 +12,9 @@
 //! * [`gris`] — the per-site Grid Resource Information Service with
 //!   pluggable, TTL-cached information providers.
 //! * [`giis`] — the aggregate index with the soft-state registration
-//!   protocol (Figure 5).
+//!   protocol (Figure 5); its registrants are [`InquiryService`]
+//!   handles, so a GRIS, a child GIIS or the serving layer registers
+//!   the same way.
 //! * [`provider`] — the GridFTP performance provider that digests
 //!   transfer logs into statistics and predictions.
 //! * [`server_provider`] — static `GridFTPServerInfo` endpoint facts
@@ -40,7 +42,7 @@ pub mod service;
 
 pub use error::{Error, InquiryError};
 pub use filter::{parse as parse_filter, Filter, FilterError};
-pub use giis::{Directory, Giis, RegisterOutcome, Registration, RegistrationBackoff};
+pub use giis::{Giis, RegisterOutcome, Registration, RegistrationBackoff};
 pub use gris::{
     Gris, InfoProvider, Materialized, MaterializedEntry, ProviderError, SnapshotSource,
     STALENESS_ATTR,

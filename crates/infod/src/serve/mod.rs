@@ -9,9 +9,10 @@
 //! * **Refresh path** — [`ShardedServer::refresh`] walks the registered
 //!   sites, calls [`SnapshotSource::materialize`] on each live one, and
 //!   swaps an immutable [`ShardSnapshot`] (an `Arc` behind a short
-//!   `RwLock` hold) per shard. A site whose soft-state registration
-//!   lapsed keeps its last materialized view, aging under the
-//!   `stalenesssecs` machinery — serve stale, never block.
+//!   `RwLock` hold) per shard; sites hash by id onto a fixed four
+//!   shards. A site whose soft-state registration lapsed keeps its last
+//!   materialized view, aging under the `stalenesssecs` machinery —
+//!   serve stale, never block.
 //! * **Read path** — [`InquiryService::inquire`] clones each shard's
 //!   current snapshot `Arc` (one brief read-lock each), evaluates the
 //!   filter against the immutable snapshot, and stamps degraded entries
@@ -23,11 +24,12 @@
 //! mid-refresh torn read the direct path allows (a `stalenesssecs=*`
 //! filter observing two generations at once) is structurally impossible.
 //!
-//! A per-shard TTL **prediction cache** memoizes filter evaluations
-//! (keyed by the filter's canonical rendering); it is flushed whenever
-//! the shard's snapshot swaps, and a cached answer that contains stamped
-//! entries is only reused at the exact inquiry second it was computed
-//! for, so `stalenesssecs` values never drift. **Admission control**
+//! A per-shard TTL **prediction cache** memoizes up to 256 filter
+//! evaluations (keyed by the filter's canonical rendering, evicted
+//! first-in first-out); it is flushed whenever the shard's snapshot
+//! swaps, and a cached answer computed over stamped entries is only
+//! reused at the exact inquiry second it was computed for, so
+//! `stalenesssecs` values never drift. **Admission control**
 //! models an M/M/c queue on deterministic sim time: past the configured
 //! queue depth an inquiry is shed with a typed
 //! [`Overloaded`](crate::Error::Overloaded) rejection, and identical
@@ -42,7 +44,8 @@ use parking_lot::{Mutex, RwLock};
 use wanpred_obs::{names, ObsSink};
 
 use crate::error::{Error, InquiryError};
-use crate::gris::{MaterializedEntry, SnapshotSource};
+use crate::giis::Lease;
+use crate::gris::{FilterWalk, MaterializedEntry, SnapshotSource};
 use crate::ldif::Entry;
 use crate::service::{
     CacheStatus, InquiryRequest, InquiryResponse, InquiryService, Provenance, ServedBy,
@@ -73,14 +76,20 @@ pub(crate) fn exp_us(mean_us: u64, h: u64) -> u64 {
     ((-(u.ln()) * mean_us as f64).round() as u64).max(1)
 }
 
+/// Snapshot shards; sites hash onto shards by id.
+const SHARDS: usize = 4;
+
+/// Cached filter evaluations kept per shard (FIFO eviction).
+const CACHE_CAPACITY: usize = 256;
+
 /// FNV-1a shard assignment for a site id.
-fn shard_of(site: &str, shards: usize) -> usize {
+fn shard_of(site: &str) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in site.as_bytes() {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    (h % shards as u64) as usize
+    (h % SHARDS as u64) as usize
 }
 
 /// Admission-control configuration: a deterministic M/M/c service model
@@ -117,14 +126,10 @@ impl Default for AdmissionConfig {
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Snapshot shards; sites hash onto shards by id.
-    pub shards: usize,
     /// Seconds a cached filter evaluation with *no* stamped entries may
     /// be reused. (Stamped answers are only reused at the exact second
     /// they were computed for, so `stalenesssecs` never drifts.)
     pub cache_ttl_secs: u64,
-    /// Cached filter evaluations kept per shard (FIFO eviction).
-    pub cache_capacity: usize,
     /// Admission control; `None` admits everything with no latency model.
     pub admission: Option<AdmissionConfig>,
 }
@@ -132,9 +137,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            shards: 4,
             cache_ttl_secs: 5,
-            cache_capacity: 256,
             admission: None,
         }
     }
@@ -166,10 +169,7 @@ impl ShardSnapshot {
 struct CachedAnswer {
     /// The inquiry second the stamps were computed at.
     stamped_now: u64,
-    /// Whether any entry carries a staleness stamp (restricts reuse).
-    has_stamps: bool,
-    entries: Vec<Entry>,
-    staleness: u64,
+    walk: FilterWalk,
 }
 
 #[derive(Default)]
@@ -177,13 +177,6 @@ struct FilterCache {
     answers: BTreeMap<String, CachedAnswer>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<String>,
-}
-
-impl FilterCache {
-    fn clear(&mut self) {
-        self.answers.clear();
-        self.order.clear();
-    }
 }
 
 struct Shard {
@@ -195,8 +188,7 @@ struct Shard {
 /// view it materialized (carried forward, aging, after lease expiry).
 struct SiteHandle {
     source: Arc<dyn SnapshotSource>,
-    ttl_secs: u64,
-    last_seen: u64,
+    lease: Lease,
     /// `(entries, materialized_at)` from the last refresh that reached
     /// the source.
     last_view: Option<(Vec<MaterializedEntry>, u64)>,
@@ -313,8 +305,7 @@ pub struct ShardedServer {
 impl ShardedServer {
     /// Create a server with the given configuration.
     pub fn new(cfg: ServeConfig) -> Self {
-        let n = cfg.shards.max(1);
-        let shards = (0..n)
+        let shards = (0..SHARDS)
             .map(|_| Shard {
                 current: RwLock::new(Arc::new(ShardSnapshot::default())),
                 cache: Mutex::new(FilterCache::default()),
@@ -357,24 +348,15 @@ impl ShardedServer {
     ) {
         let id = id.into();
         let mut sites = self.sites.lock();
-        match sites.get_mut(&id) {
-            Some(h) => {
-                h.source = source;
-                h.ttl_secs = ttl_secs;
-                h.last_seen = now_unix;
-            }
-            None => {
-                sites.insert(
-                    id,
-                    SiteHandle {
-                        source,
-                        ttl_secs,
-                        last_seen: now_unix,
-                        last_view: None,
-                    },
-                );
-            }
-        }
+        let last_view = sites.remove(&id).and_then(|h| h.last_view);
+        sites.insert(
+            id,
+            SiteHandle {
+                source,
+                lease: Lease::new(ttl_secs, now_unix),
+                last_view,
+            },
+        );
     }
 
     /// Renew a site's lease without re-sending the source. Returns
@@ -382,7 +364,7 @@ impl ShardedServer {
     pub fn renew_site(&self, id: &str, now_unix: u64) -> bool {
         match self.sites.lock().get_mut(id) {
             Some(h) => {
-                h.last_seen = now_unix;
+                h.lease.renew(now_unix);
                 true
             }
             None => false,
@@ -394,7 +376,7 @@ impl ShardedServer {
         self.sites
             .lock()
             .iter()
-            .filter(|(_, h)| now_unix.saturating_sub(h.last_seen) < h.ttl_secs)
+            .filter(|(_, h)| h.lease.is_live(now_unix))
             .map(|(id, _)| id.clone())
             .collect()
     }
@@ -411,14 +393,12 @@ impl ShardedServer {
     /// never blocked for longer than one `Arc` store.
     pub fn refresh(&self, now_unix: u64) {
         self.obs.inc(names::INFOD_SERVE_REFRESHES);
-        let n = self.shards.len();
-        let mut per_shard: Vec<Vec<SiteView>> = (0..n).map(|_| Vec::new()).collect();
+        let mut per_shard: Vec<Vec<SiteView>> = (0..SHARDS).map(|_| Vec::new()).collect();
         let mut live = 0u64;
         {
             let mut sites = self.sites.lock();
             for (id, h) in sites.iter_mut() {
-                let alive = now_unix.saturating_sub(h.last_seen) < h.ttl_secs;
-                let entries = if alive {
+                let entries = if h.lease.is_live(now_unix) {
                     live += 1;
                     let m = h.source.materialize(now_unix);
                     h.last_view = Some((m.entries.clone(), now_unix));
@@ -438,7 +418,7 @@ impl ShardedServer {
                         None => Vec::new(),
                     }
                 };
-                per_shard[shard_of(id, n)].push(SiteView {
+                per_shard[shard_of(id)].push(SiteView {
                     site: id.clone(),
                     entries,
                 });
@@ -461,7 +441,7 @@ impl ShardedServer {
             *cur = next;
             drop(cur);
             // The snapshot changed: memoized evaluations are stale.
-            shard.cache.lock().clear();
+            *shard.cache.lock() = FilterCache::default();
             self.obs.inc(names::INFOD_SERVE_SNAPSHOT_SWAPS);
         }
     }
@@ -479,10 +459,11 @@ impl ShardedServer {
         }
         let mut cache = shard.cache.lock();
         if let Some(hit) = cache.answers.get(key) {
-            // A stamped answer is pinned to its inquiry second; an
-            // unstamped one may be reused within the cache TTL (entries
-            // cannot change under a constant generation).
-            let reusable = if hit.has_stamps {
+            // An answer walked over stamped entries is pinned to its
+            // inquiry second; an unstamped one may be reused within the
+            // cache TTL (entries cannot change under a constant
+            // generation).
+            let reusable = if hit.walk.has_stamps {
                 hit.stamped_now == req.now_unix
             } else {
                 req.now_unix >= hit.stamped_now
@@ -490,26 +471,17 @@ impl ShardedServer {
             };
             if reusable {
                 self.obs.inc(names::INFOD_SERVE_CACHE_HITS);
-                return Some((hit.entries.clone(), hit.staleness, snap.generation, true));
+                return Some((
+                    hit.walk.entries.clone(),
+                    hit.walk.staleness,
+                    snap.generation,
+                    true,
+                ));
             }
         }
         self.obs.inc(names::INFOD_SERVE_CACHE_MISSES);
-        let mut entries = Vec::new();
-        let mut staleness = 0u64;
-        let mut has_stamps = false;
-        for site in &snap.sites {
-            for me in &site.entries {
-                let (e, age) = me.stamped(req.now_unix);
-                if me.last_good_unix.is_some() {
-                    has_stamps = true;
-                }
-                if req.filter.matches(&e) {
-                    staleness = staleness.max(age);
-                    entries.push(e);
-                }
-            }
-        }
-        if cache.answers.len() >= self.cfg.cache_capacity.max(1) {
+        let walk = FilterWalk::new(snap.sites.iter().flat_map(|s| &s.entries), req);
+        if cache.answers.len() >= CACHE_CAPACITY {
             if let Some(evict) = cache.order.pop_front() {
                 cache.answers.remove(&evict);
             }
@@ -520,16 +492,14 @@ impl ShardedServer {
                 key.to_string(),
                 CachedAnswer {
                     stamped_now: req.now_unix,
-                    has_stamps,
-                    entries: entries.clone(),
-                    staleness,
+                    walk: walk.clone(),
                 },
             )
             .is_none()
         {
             cache.order.push_back(key.to_string());
         }
-        Some((entries, staleness, snap.generation, false))
+        Some((walk.entries, walk.staleness, snap.generation, false))
     }
 }
 
@@ -717,6 +687,22 @@ mod tests {
         srv.refresh(140);
         let back = srv.inquire(&req("(site=lbl)", 141)).unwrap();
         assert_eq!(back.staleness_secs, 0);
+    }
+
+    #[test]
+    fn unmatched_stamped_entries_pin_the_cached_answer_to_its_second() {
+        let srv = ShardedServer::new(ServeConfig::default());
+        srv.register_site("lbl", 60, site_gris("lbl"), 0);
+        srv.refresh(0);
+        // Lease lapsed: the view is carried forward, aging from t=0.
+        srv.refresh(100);
+        let f = "(stalenesssecs>=120)";
+        // At 119 s the stamped entry does not match yet; the empty
+        // answer must not be reused a second later, when it does.
+        assert!(srv.inquire(&req(f, 119)).unwrap().entries.is_empty());
+        let at_120 = srv.inquire(&req(f, 120)).unwrap();
+        assert_eq!(at_120.entries.len(), 1);
+        assert_eq!(at_120.provenance.cache, CacheStatus::Miss);
     }
 
     #[test]

@@ -37,8 +37,9 @@ mod integration_tests {
 
     use std::sync::Arc;
 
-    use parking_lot::Mutex;
-    use wanpred_infod::{Dn, Giis, GridFtpPerfProvider, Gris, ProviderConfig, Registration};
+    use wanpred_infod::{
+        Dn, Giis, GridFtpPerfProvider, Gris, InquiryService, ProviderConfig, Registration,
+    };
     use wanpred_logfmt::{Operation, TransferLog, TransferRecordBuilder};
 
     use crate::*;
@@ -68,13 +69,13 @@ mod integration_tests {
         log
     }
 
-    fn gris_for(host: &str, client: &str, kbs: f64) -> Arc<Mutex<Gris>> {
+    fn gris_for(host: &str, client: &str, kbs: f64) -> Arc<dyn InquiryService> {
         let mut g = Gris::new(Dn::parse("o=grid").unwrap());
         g.register_provider(Box::new(GridFtpPerfProvider::from_snapshot(
             ProviderConfig::new(host, "0.0.0.0"),
             log_with_bandwidth(client, host, kbs),
         )));
-        Arc::new(Mutex::new(g))
+        Arc::new(g)
     }
 
     #[test]
@@ -82,7 +83,7 @@ mod integration_tests {
         let client = "140.221.65.69";
         let giis = Arc::new(Giis::new("top"));
         for (host, kbs) in [("dpsslx04.lbl.gov", 7_500.0), ("jet.isi.edu", 3_000.0)] {
-            giis.register(
+            giis.register_service(
                 Registration {
                     id: host.to_string(),
                     ttl_secs: 3_600,
@@ -126,7 +127,7 @@ mod integration_tests {
     #[test]
     fn unknown_client_gets_no_predictions_but_a_choice() {
         let giis = Arc::new(Giis::new("top"));
-        giis.register(
+        giis.register_service(
             Registration {
                 id: "lbl".into(),
                 ttl_secs: 3_600,
